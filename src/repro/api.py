@@ -59,6 +59,21 @@ _REQUEST_FIELDS = (
 )
 
 
+def _check_wire_ids(values, name: str) -> None:
+    """Reject ids a JSON frame spells as ``true``/``false``, ``1.5`` or ``1e22``.
+
+    The constructor coerces with ``int()``, which would silently turn the
+    first two into item or user ``1``; on the wire only JSON integers are
+    ids, and one outside int64 can never index a model.
+    """
+    if isinstance(values, (list, tuple)):
+        for value in values:
+            if isinstance(value, (bool, float)):
+                raise ConfigurationError(f"{name} must be integers, got {value!r}")
+            if isinstance(value, int) and not -(2**63) <= value < 2**63:
+                raise ConfigurationError(f"{name} id {value} is out of range")
+
+
 def _as_int_tuple(values, name: str) -> Tuple[int, ...]:
     try:
         return tuple(int(value) for value in values)
@@ -201,7 +216,12 @@ class RecommendRequest:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RecommendRequest":
-        """Strict inverse of :meth:`to_dict` (unknown keys are typed errors)."""
+        """Strict inverse of :meth:`to_dict`.
+
+        Unknown keys, and user or item ids that are not integers (JSON
+        booleans and floats included) or lie outside int64, are typed
+        errors.
+        """
         if not isinstance(payload, dict):
             raise ConfigurationError("a request frame must be a JSON object")
         unknown = sorted(set(payload) - set(_REQUEST_FIELDS))
@@ -210,6 +230,11 @@ class RecommendRequest:
                 f"unknown request field(s): {', '.join(unknown)} "
                 f"(accepted: {', '.join(_REQUEST_FIELDS)})"
             )
+        _check_wire_ids(payload.get("users"), "users")
+        interactions = payload.get("interactions")
+        if isinstance(interactions, (list, tuple)):
+            for row in interactions:
+                _check_wire_ids(row, "interactions")
         return cls(**payload)
 
     @classmethod

@@ -79,6 +79,11 @@ class Recommender(abc.ABC):
     ) -> np.ndarray:
         """Return the indices of the top ``n_items`` recommendations for ``user``.
 
+        Items are ranked by higher value first, then lower item index —
+        the tie contract every serving path shares (see
+        :mod:`repro.serving.engine`).  The value is :meth:`score_user`, or
+        whatever monotone equivalent :meth:`_ranking_values` supplies.
+
         Parameters
         ----------
         user:
@@ -91,21 +96,27 @@ class Recommender(abc.ABC):
             ranking only the unknown examples.
         """
         self._require_fitted()
-        scores = np.asarray(self.score_user(user), dtype=float).copy()
-        if scores.shape != (self.train_matrix.n_items,):
+        values = np.asarray(self._ranking_values(user), dtype=float).copy()
+        if values.shape != (self.train_matrix.n_items,):
             raise ValueError(
                 f"score_user must return shape ({self.train_matrix.n_items},), "
-                f"got {scores.shape}"
+                f"got {values.shape}"
             )
         if exclude_seen:
             seen = self.train_matrix.items_of_user(user)
-            scores[seen] = -np.inf
-        n_items = min(n_items, len(scores))
-        top = np.argpartition(-scores, n_items - 1)[:n_items]
-        ranked = top[np.argsort(-scores[top], kind="stable")]
+            values[seen] = -np.inf
+        n_items = min(n_items, len(values))
+        # The n-th largest value, then everything above it plus the tied
+        # entries in index order: the tie contract, whatever introselect
+        # does with equal values.
+        kth = np.partition(values, len(values) - n_items)[len(values) - n_items]
+        above = np.flatnonzero(values > kth)
+        tied = np.flatnonzero(values == kth)[: n_items - above.size]
+        top = np.sort(np.concatenate([above, tied]))
+        ranked = top[np.argsort(-values[top], kind="stable")]
         # Never pad the list with excluded (seen) items: if the user has fewer
         # unknown items than requested, return a shorter list instead.
-        return ranked[np.isfinite(scores[ranked])]
+        return ranked[np.isfinite(values[ranked])]
 
     def recommend_many(
         self,
@@ -127,6 +138,15 @@ class Recommender(abc.ABC):
     # ------------------------------------------------------------------ #
     # Internal helpers for subclasses
     # ------------------------------------------------------------------ #
+    def _ranking_values(self, user: int) -> np.ndarray:
+        """Per-item values :meth:`recommend` ranks ``user``'s items by.
+
+        Defaults to :meth:`score_user`.  Subclasses may return values the
+        scores are a monotone function of — factor models return the
+        affinities, which stay distinct where probabilities saturate.
+        """
+        return self.score_user(user)
+
     def _set_train_matrix(self, matrix: InteractionMatrix) -> None:
         """Record the training matrix; subclasses call this at the end of fit()."""
         self._train_matrix = matrix

@@ -374,6 +374,13 @@ class OCuLaR(Recommender):
         self._require_fitted()
         return self.serving_factors_.user_scores(user)
 
+    def _ranking_values(self, user: int) -> np.ndarray:
+        """Affinities ``<f_u, f_i>``: :meth:`recommend` ranks by these, as the
+        serving engine does, so items whose probabilities saturate to 1.0
+        stay ordered."""
+        factors = self.serving_factors_
+        return factors.item_factors @ factors.user_factors[user]
+
     def score_users(self, users) -> np.ndarray:
         """Vectorised batch scoring, shape ``(len(users), n_items)``."""
         self._require_fitted()

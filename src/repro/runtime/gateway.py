@@ -20,9 +20,12 @@ Wire protocol — newline-delimited JSON, one frame per line:
   ``"stats"``);
 * success frame: ``{"id": ..., "ok": true, ...response.to_dict()}``;
 * error frame: ``{"id": ..., "ok": false, "error": {"code": ..., "message":
-  ...}}`` with codes ``bad-json``, ``bad-request``, ``unknown-op``,
-  ``not-fitted``, ``closing`` and ``server-error``.  Errors are per-frame:
-  a malformed request never kills its connection, let alone the server.
+  ...}}`` with codes ``bad-json``, ``bad-request``, ``frame-too-large``,
+  ``unknown-op``, ``not-fitted``, ``closing`` and ``server-error``.  Errors
+  are per-frame: a malformed request never kills its connection, let alone
+  the server.  A frame longer than :data:`MAX_FRAME_BYTES` is answered with
+  ``frame-too-large`` (its ``id`` is unread, so ``null``) and skipped up to
+  its newline; the frames after it are served as usual.
 
 Admission control and fairness: at most ``max_inflight`` requests are
 inside the batcher at a time.  Arrivals beyond that park in a
@@ -53,11 +56,21 @@ import threading
 from typing import Dict, Optional, Set, Tuple
 
 from repro.api import RecommendRequest, RecommendResponse
-from repro.exceptions import ConfigurationError, NotFittedError, ReproError
+from repro.exceptions import ConfigurationError, DataError, NotFittedError, ReproError
 from repro.runtime.fairness import WeightedFairQueue
 from repro.utils.validation import check_positive_int
 
-__all__ = ["GatewayClient", "GatewayError", "GatewayThread", "ServingGateway"]
+__all__ = [
+    "MAX_FRAME_BYTES",
+    "GatewayClient",
+    "GatewayError",
+    "GatewayThread",
+    "ServingGateway",
+]
+
+#: Longest request frame the gateway reads, newline excluded.  A 1024-user
+#: request is about 6 KiB, so this leaves room for ten times that.
+MAX_FRAME_BYTES = 64 * 1024
 
 
 class GatewayError(ReproError):
@@ -70,6 +83,23 @@ class GatewayError(ReproError):
 
 def _error_frame(rid, code: str, message: str) -> dict:
     return {"id": rid, "ok": False, "error": {"code": code, "message": message}}
+
+
+async def _skip_line(reader: asyncio.StreamReader, buffered: int) -> bool:
+    """Discard an over-long frame through its newline; ``False`` at EOF.
+
+    ``buffered`` is the overrun's count of bytes already buffered that hold
+    no newline: they are dropped, and the search goes on from there.
+    """
+    while True:
+        try:
+            await reader.readexactly(buffered)
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as overrun:
+            buffered = overrun.consumed
+        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            return False
 
 
 class ServingGateway:
@@ -216,7 +246,7 @@ class ServingGateway:
         if self._server is not None:
             raise ConfigurationError("the gateway is already started")
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES
         )
         return self
 
@@ -304,7 +334,18 @@ class ServingGateway:
         try:
             while True:
                 try:
-                    line = await reader.readline()
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as eof:
+                    line = eof.partial  # a last frame without its newline
+                except asyncio.LimitOverrunError as overrun:
+                    self._frames += 1
+                    await self._send_error(
+                        writer, write_lock, None, "frame-too-large",
+                        f"frame exceeds {MAX_FRAME_BYTES} bytes",
+                    )
+                    if not await _skip_line(reader, overrun.consumed):
+                        break
+                    continue
                 except (ConnectionError, OSError):
                     break
                 if not line:
@@ -390,7 +431,8 @@ class ServingGateway:
             raise  # disconnect / shutdown: nobody left to answer
         except NotFittedError as error:
             await self._send_error(writer, write_lock, rid, "not-fitted", str(error))
-        except ConfigurationError as error:
+        except (ConfigurationError, DataError) as error:
+            # DataError: the request named users or items outside the model.
             await self._send_error(writer, write_lock, rid, "bad-request", str(error))
         except Exception as error:  # noqa: BLE001 - the connection must survive
             await self._send_error(

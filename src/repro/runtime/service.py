@@ -20,7 +20,7 @@ hourly), and every ``serve_sharded`` call republishes or pickles its engine.
 * **one publication per model version**: :meth:`publish` pushes the trained
   factor matrices and the CSR seen-mask through the
   :class:`~repro.parallel.shared_memory.SharedArraySpec` machinery, so every
-  process-sharded :meth:`topn` / :meth:`recommend_folded` call ships only
+  process-sharded :meth:`recommend` call ships only
   ``(row_range, descriptors)`` — no factor bytes per task — and workers
   attach zero-copy.  Rankings are byte-identical to the single-process
   :class:`~repro.serving.engine.TopNEngine`;
@@ -42,7 +42,6 @@ import os
 import pickle
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -54,7 +53,7 @@ from repro.core.objective import full_objective
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel import ShardScheduler, supports_publication
-from repro.serving.batch import BatchServingResult, _serve_shard
+from repro.serving.batch import _serve_shard
 from repro.serving.engine import DEFAULT_CHUNK_SIZE, TopNEngine
 from repro.core.factors import FactorModel
 from repro.serving.fold_in import _interactions_to_csr, extend_factors, fold_in_scores
@@ -173,7 +172,7 @@ class ServingSession:
 
     Acquired through :meth:`RecommenderRuntime.serving_session`: the session
     takes one in-flight reference on the generation published at acquisition
-    time, and every :meth:`topn` / :meth:`recommend_folded` routed through it
+    time, and every :meth:`recommend` routed through it
     serves **that** version — even if :meth:`RecommenderRuntime.update`
     swaps the runtime to a newer generation mid-flight (the pinned
     generation's segments stay attachable until the session releases).  This
@@ -184,7 +183,7 @@ class ServingSession:
     Use as a context manager (or call :meth:`release` exactly once)::
 
         with runtime.serving_session() as session:
-            result = session.topn(users, n_items=10)
+            response = session.recommend(RecommendRequest(users=users))
     """
 
     def __init__(self, runtime: "RecommenderRuntime") -> None:
@@ -230,32 +229,6 @@ class ServingSession:
     ) -> RecommendResponse:
         """:meth:`RecommenderRuntime.recommend` against the pinned generation."""
         return self._runtime.recommend(request, session=self, shard_size=shard_size)
-
-    def topn(self, users: Sequence[int], **kwargs) -> BatchServingResult:
-        """Deprecated: use :meth:`recommend` with a known-users request."""
-        warnings.warn(
-            "ServingSession.topn() is deprecated; use "
-            "session.recommend(RecommendRequest(users=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        user_list, rankings, _scores, n_shards, _generation = self._runtime._serve_topn(
-            users, session=self, **kwargs
-        )
-        return BatchServingResult(users=user_list, rankings=rankings, n_shards=n_shards)
-
-    def recommend_folded(self, interactions, **kwargs) -> List[np.ndarray]:
-        """Deprecated: use :meth:`recommend` with an interactions request."""
-        warnings.warn(
-            "ServingSession.recommend_folded() is deprecated; use "
-            "session.recommend(RecommendRequest(interactions=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        rankings, _scores, _n_shards, _generation = self._runtime._serve_folded(
-            interactions, session=self, **kwargs
-        )
-        return rankings
 
     def release(self) -> None:
         """Drop the session's generation reference; idempotent.
@@ -313,7 +286,9 @@ class RecommenderRuntime:
         with RecommenderRuntime(executor="process", max_workers=8) as runtime:
             runtime.fit(OCuLaR(n_coclusters=100, regularization=10.0), matrix)
             runtime.publish()                       # model version 1 serves
-            lists = runtime.topn(range(matrix.n_users), n_items=10)
+            response = runtime.recommend(
+                RecommendRequest(users=range(matrix.n_users), n_items=10)
+            )
             ...
             runtime.refit(new_matrix)               # same warm pool
             runtime.update()                        # swap to version 2
@@ -881,58 +856,6 @@ class RecommenderRuntime:
             serve_ms=(time.perf_counter() - started) * 1000.0,
             batch_users=request.n_rows,
         )
-
-    def topn(
-        self,
-        users: Sequence[int],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        shard_size: Optional[int] = None,
-        session: Optional[ServingSession] = None,
-    ) -> BatchServingResult:
-        """Deprecated: use :meth:`recommend` with ``RecommendRequest(users=...)``."""
-        warnings.warn(
-            "RecommenderRuntime.topn() is deprecated; use "
-            "runtime.recommend(RecommendRequest(users=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        user_list, rankings, _scores, n_shards, _generation = self._serve_topn(
-            users,
-            n_items=n_items,
-            exclude_seen=exclude_seen,
-            shard_size=shard_size,
-            session=session,
-        )
-        return BatchServingResult(users=user_list, rankings=rankings, n_shards=n_shards)
-
-    def recommend_folded(
-        self,
-        interactions,
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        n_sweeps: int = 30,
-        tolerance: float = 1e-8,
-        shard_size: Optional[int] = None,
-        session: Optional[ServingSession] = None,
-    ) -> TopNResult:
-        """Deprecated: use :meth:`recommend` with ``RecommendRequest(interactions=...)``."""
-        warnings.warn(
-            "RecommenderRuntime.recommend_folded() is deprecated; use "
-            "runtime.recommend(RecommendRequest(interactions=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        rankings, _scores, _n_shards, _generation = self._serve_folded(
-            interactions,
-            n_items=n_items,
-            exclude_seen=exclude_seen,
-            n_sweeps=n_sweeps,
-            tolerance=tolerance,
-            shard_size=shard_size,
-            session=session,
-        )
-        return rankings
 
     @staticmethod
     def _flatten_shards(shard_results, return_scores: bool):

@@ -2,7 +2,7 @@
 
 The production shape of the paper's Section VIII deployment: a
 :class:`TopNEngine` scores users in chunks (one BLAS call per chunk) and
-selects top-N with ``argpartition``; :func:`fold_in_users` computes factors
+selects top-N exactly in two stages; :func:`fold_in_users` computes factors
 for unseen users against the fixed item factors so cold-start clients can be
 served without refitting; :func:`serve_sharded` fans user shards across the
 executors of :mod:`repro.parallel`.

@@ -12,40 +12,63 @@ chunks:
   factor representation, so every recommender is served by the same path),
 * already-seen training items masked directly from the CSR structure
   (``indptr``/``indices``), never densifying the interaction matrix,
-* top-N selection with :func:`numpy.argpartition` followed by a stable sort
-  of only the selected entries, instead of a full per-row sort.
+* exact two-stage top-N selection instead of a per-row sort or a
+  selection over the whole row.
 
-The hot path is allocation-free in steady state: every chunk's dense score
-block comes from a :class:`~repro.serving.buffers.ScoreBufferPool` (the
-gather of the chunk's user factors too), the chunk size autotunes so
-``chunk × n_items × itemsize`` stays inside a byte budget, and results land
-directly in the flat :class:`~repro.serving.results.TopNResult` blocks
-instead of per-user list objects.  On multi-core hosts the BLAS product of
-chunk ``k+1`` overlaps the masking/selection of chunk ``k`` on a prefetch
-thread (NumPy releases the GIL inside the gemm); chunks are independent and
-write disjoint output rows, so pipelined rankings are bitwise the serial
-ones.
+**Ranking on affinities.**  The probability ``1 - exp(-a)`` is monotone in
+the affinity ``a = <f_u, f_i>``, so the factor path ranks the affinity
+block itself and never transforms it: the chunk's gathered user factors
+are negated (a ``chunk × K`` pass, exact in IEEE arithmetic), which makes
+the one BLAS product yield ``-F_u F_iᵀ`` bit for bit — the *negated* form
+the selection kernel consumes, smallest first.  Only with ``with_scores``
+are the ``n`` selected entries of a row turned into probabilities, by the
+same ``exp`` / ``- 1`` / negate sequence that used to run over the whole
+block, so float64 scores are bit-identical to that transform.  Ranking on
+affinities also keeps apart items whose probabilities saturate to 1.0
+(affinity ≳ 17 in float32, ≳ 37 in float64).
+
+**Two-stage exact selection.**  Each row is cut into contiguous item blocks
+of :data:`SELECT_BLOCK` columns (the last may be shorter), and stage one
+keeps the ``n`` blocks with the best block extremum, ordered by (extremum,
+block index).  Stage two selects the top ``n`` among only those ``n × G``
+candidates.  This is exact: every block ranked above a top-``n`` item's
+block holds an item that beats that item under the tie order below, so
+fewer than ``n`` blocks rank above it.  When ``n × G`` is not well below the
+catalogue (:data:`_TWO_STAGE_MIN_RATIO`), one stage over the whole row is
+cheaper and is used instead.
+
+**Tie contract.**  Every ranking — this engine, :meth:`TopNEngine.
+rank_scored` (on the values it is given) and
+:meth:`~repro.base.Recommender.recommend` — orders items by higher value
+first, then lower item index.  A tie at the ``n``-th position is settled
+exactly (the tied entries are taken in index order), never by the
+internals of the partial sort; the test-suite checks every path element by
+element against a full stable sort.
+
+The hot path is allocation-free in steady state: every chunk's dense block
+comes from a :class:`~repro.serving.buffers.ScoreBufferPool` (the gather of
+the chunk's user factors and the selection's block-extremum and candidate
+scratch too), the chunk size autotunes so ``chunk × n_items × itemsize``
+stays inside a byte budget, and results land directly in the flat
+:class:`~repro.serving.results.TopNResult` blocks instead of per-user list
+objects.  On multi-core hosts the BLAS product of chunk ``k+1`` overlaps
+the masking/selection of chunk ``k`` on a prefetch thread (NumPy releases
+the GIL inside the gemm); chunks are independent and write disjoint output
+rows, so pipelined rankings are bitwise the serial ones.
 
 Engines can also serve at a reduced precision: ``dtype="float32"`` casts
 the factor matrices once at construction and scores every chunk at half the
-memory bandwidth.  The default serving dtype is the factors' own, keeping
-the float64 path bit-exact against the per-user reference.
-
-The selection kernel is operation-for-operation the one used by
-:meth:`Recommender.recommend`, and the post-matmul arithmetic is bitwise
-equivalent, so the chunked rankings match the per-user ones except in the
-measure-zero case where two scores land within one unit-in-the-last-place
-of each other and the BLAS gemm/gemv accumulation orders disagree.  Exact
-ties (e.g. both scores exactly 0) are bitwise identical in both paths and
-resolve identically.  The test-suite asserts exact agreement on all
-fixtures.
+memory bandwidth.  The default serving dtype is the factors' own, so the
+float64 path ranks the same affinities as the per-user reference, up to
+the measure-zero case where two affinities land within one
+unit-in-the-last-place of each other and the BLAS gemm/gemv accumulation
+orders disagree.  The test-suite asserts exact agreement on all fixtures.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -67,6 +90,16 @@ DEFAULT_CHUNK_SIZE = 1024
 #: Serving dtypes the engine accepts (scores are ranked, not summed, so
 #: half-width floats keep ranking quality; see the float32 parity tests).
 _SERVING_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+#: Item-block width ``G`` of the two-stage selection: per-row extrema over
+#: contiguous blocks of this many columns pick the ``n`` candidate blocks.
+SELECT_BLOCK = 128
+
+#: Two-stage selection runs when the catalogue holds at least this many
+#: times the ``n × G`` candidates it keeps.  Below that the block pass
+#: prunes too little to pay for itself, and one stage selects over the
+#: whole row (e.g. top-50 over a 1000-item catalogue).
+_TWO_STAGE_MIN_RATIO = 4
 
 
 # --------------------------------------------------------------------------- #
@@ -278,26 +311,30 @@ class TopNEngine:
     def score_chunk(self, users: np.ndarray) -> np.ndarray:
         """Dense score block for a chunk of users, shape ``(len(users), n_items)``.
 
-        The factor path computes ``1 - exp(-F_u[users] @ F_i^T)`` in one
-        matrix product; the generic path delegates to the model's
-        ``score_users``.  The caller owns the returned block.
+        The factor path computes the probabilities ``1 - exp(-F_u[users] @
+        F_i^T)`` from one matrix product; the generic path delegates to the
+        model's ``score_users``.  The caller owns the returned block.
         """
         users = np.asarray(users, dtype=np.int64)
-        neg = self._neg_scores_pooled(users)
-        block = np.negative(neg)
+        neg = self._neg_values_pooled(users)
+        if self._serving_user_factors is not None:
+            block = _probabilities(neg, np.empty_like(neg))
+        else:
+            block = np.negative(neg)
         self.pool.release(neg)
         return block
 
-    def _neg_scores_pooled(self, users: np.ndarray) -> np.ndarray:
-        """*Negated* score block (the form the selection kernel consumes).
+    def _neg_values_pooled(self, users: np.ndarray) -> np.ndarray:
+        """*Negated* ranking values of a chunk (the form selection consumes).
 
-        The factor path gathers the chunk's user factors and computes
-        ``exp(-aff) - 1`` with in-place ufuncs into a pooled block: one BLAS
-        product, zero fresh allocations in steady state.  IEEE subtraction
-        is antisymmetric (``fl(e - 1) == -fl(1 - e)`` exactly), so this is
-        bitwise the negation of the probability ``1 - exp(-aff)`` that the
-        per-user reference path ranks by.  The caller must release the
-        returned block back to :attr:`pool`.
+        The factor path gathers the chunk's user factors into a pooled
+        block, negates them there, and writes the BLAS product into a
+        pooled ``(rows, n_items)`` block: ``-F_u F_i^T``, bitwise the
+        negated affinities (IEEE products and sums are sign-symmetric), at
+        the cost of a ``rows × K`` negation instead of a full-block pass.
+        The generic path negates the model's scores into a pooled block.
+        Zero fresh allocations in steady state; the caller must release
+        the returned block back to :attr:`pool`.
         """
         rows = users.shape[0]
         if self._serving_user_factors is not None:
@@ -305,12 +342,10 @@ class TopNEngine:
                 rows, self._serving_user_factors.shape[1], self.serving_dtype
             )
             np.take(self._serving_user_factors, users, axis=0, out=gather)
+            np.negative(gather, out=gather)
             block = self.pool.take(rows, self.n_items, self.serving_dtype)
             np.matmul(gather, self._serving_item_factors.T, out=block)
             self.pool.release(gather)
-            np.negative(block, out=block)
-            np.exp(block, out=block)
-            np.subtract(block, 1.0, out=block)
             return block
         scores = np.asarray(self.model.score_users(users), dtype=self.serving_dtype)
         if scores.shape != (rows, self.n_items):
@@ -340,9 +375,11 @@ class TopNEngine:
         ``users``; rows may be shorter than ``n_items`` when a user has
         fewer unseen items than requested (exactly like
         :meth:`Recommender.recommend`, which never pads with excluded
-        items).  With ``with_scores`` the ranked entries' scores ride along
-        in the result's flat score block — gathered from the block already
-        computed for the selection, no rescoring pass.
+        items).  Rows follow the tie contract of the module docstring:
+        higher affinity (generic path: score) first, then lower item index.
+        With ``with_scores`` the ranked entries' scores ride along in the
+        result's flat score block — only the selected entries are turned
+        into probabilities, no rescoring pass.
         """
         check_positive_int(n_items, "n_items")
         user_array = np.asarray(list(users), dtype=np.int64)
@@ -365,14 +402,14 @@ class TopNEngine:
         if self._resolve_pipeline(pipeline) and len(starts) > 1:
             executor = _prefetch_executor()
             future = executor.submit(
-                self._neg_scores_pooled, user_array[starts[0] : starts[0] + size]
+                self._neg_values_pooled, user_array[starts[0] : starts[0] + size]
             )
             for index, start in enumerate(starts):
                 neg_scores = future.result()
                 if index + 1 < len(starts):
                     nxt = starts[index + 1]
                     future = executor.submit(
-                        self._neg_scores_pooled, user_array[nxt : nxt + size]
+                        self._neg_values_pooled, user_array[nxt : nxt + size]
                     )
                 chunk = user_array[start : start + size]
                 self._select_chunk(
@@ -382,11 +419,16 @@ class TopNEngine:
         else:
             for start in starts:
                 chunk = user_array[start : start + size]
-                neg_scores = self._neg_scores_pooled(chunk)
+                neg_scores = self._neg_values_pooled(chunk)
                 self._select_chunk(
                     neg_scores, chunk, csr, start, out_items, out_lengths, out_scores
                 )
                 self.pool.release(neg_scores)
+        if out_scores is not None:
+            if self._serving_user_factors is not None:
+                _probabilities(out_scores, out_scores)
+            else:
+                np.negative(out_scores, out=out_scores)
         return TopNResult(out_items, out_lengths, out_scores)
 
     def recommend_batch(
@@ -419,34 +461,6 @@ class TopNEngine:
             return result, result.score_rows()
         return result
 
-    def recommend_batch_lists(
-        self,
-        users: Sequence[int],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        chunk_size: Optional[int] = None,
-        return_scores: bool = False,
-    ):
-        """Deprecated list-of-arrays shim over :meth:`recommend_batch`."""
-        warnings.warn(
-            "TopNEngine.recommend_batch_lists() is deprecated; recommend_batch() "
-            "returns a TopNResult that supports the same row-wise access "
-            "(use .as_lists() if a plain list is required)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.recommend_batch(
-            users,
-            n_items=n_items,
-            exclude_seen=exclude_seen,
-            chunk_size=chunk_size,
-            return_scores=return_scores,
-        )
-        if return_scores:
-            rankings, scores = result
-            return rankings.as_lists(), scores
-        return result.as_lists()
-
     def recommend_many(
         self,
         users: Sequence[int],
@@ -471,6 +485,9 @@ class TopNEngine:
         writable: bool = False,
     ) -> Union[TopNResult, Tuple[TopNResult, List[np.ndarray]]]:
         """Rank externally computed score rows (the fold-in serving path).
+
+        Rows are ranked on the given values under the tie contract of the
+        module docstring: higher score first, then lower item index.
 
         Parameters
         ----------
@@ -528,6 +545,8 @@ class TopNEngine:
         self._select_rows(neg_scores, n, out_items, out_lengths, out_scores, row0=0)
         if pooled is not None:
             self.pool.release(pooled)
+        if out_scores is not None:
+            np.negative(out_scores, out=out_scores)
         result = TopNResult(out_items, out_lengths, out_scores)
         if return_scores:
             return result, result.score_rows()
@@ -554,7 +573,7 @@ class TopNEngine:
     def _mask_seen(neg_scores: np.ndarray, rows: np.ndarray, csr: sp.csr_matrix) -> None:
         """Write ``+inf`` over the training positives of ``rows``, in place.
 
-        ``neg_scores`` holds negated scores, so ``+inf`` here plays the role
+        ``neg_scores`` holds negated values, so ``+inf`` here plays the role
         ``-inf`` plays in the per-user reference path.  Each row's positives
         are sliced straight out of the CSR ``indptr``/``indices`` arrays —
         no densified mask and no full-size scratch arrays; the only
@@ -583,8 +602,8 @@ class TopNEngine:
             self._mask_seen(neg_scores, chunk_users, csr)
         self._select_rows(neg_scores, out_items.shape[1], out_items, out_lengths, out_scores, row0)
 
-    @staticmethod
     def _select_rows(
+        self,
         neg_scores: np.ndarray,
         n: int,
         out_items: np.ndarray,
@@ -592,32 +611,86 @@ class TopNEngine:
         out_scores: Optional[np.ndarray],
         row0: int,
     ) -> None:
-        """Per-row top-N selection, identical to ``Recommender.recommend``.
+        """Exact per-row top-``n`` of a *negated* block into the flat outputs.
 
-        Operates on *negated* scores: ``argpartition`` pulls the ``n``
-        smallest entries of every row without a full sort (the same
-        partition the reference path runs on ``-scores``), then a stable
-        ascending sort orders just those entries.  Masked (``+inf``)
-        entries sort to each row's tail, so a row's valid ranking is a
-        prefix: its length is the finite count, and padding positions hold
-        ``-1`` (items) / ``-inf`` (scores).  Results are written into the
-        flat blocks at ``row0`` — no per-row list objects.
+        The ``n`` smallest entries of every row under the (value, item
+        index) order — two-stage when the row is wide enough, one stage
+        otherwise — then a stable ascending sort of just those entries.
+        Masked (``+inf``) entries sort to each row's tail, so a row's valid
+        ranking is a prefix: its length is the finite count, and padding
+        positions hold ``-1``.  ``out_scores`` receives the selected
+        *negated* values (``+inf`` padding); the caller maps them back to
+        scores.  Results are written into the flat blocks at ``row0`` — no
+        per-row list objects.
         """
-        rows = neg_scores.shape[0]
-        top = np.argpartition(neg_scores, n - 1, axis=1)[:, :n]
-        top_scores = np.take_along_axis(neg_scores, top, axis=1)
-        order = np.argsort(top_scores, axis=1, kind="stable")
+        rows, width = neg_scores.shape
+        if width >= _TWO_STAGE_MIN_RATIO * n * SELECT_BLOCK:
+            top, top_values = self._two_stage(neg_scores, n)
+        else:
+            top = _smallest(neg_scores, n)
+            top_values = np.take_along_axis(neg_scores, top, axis=1)
+        order = np.argsort(top_values, axis=1, kind="stable")
         ranked = np.take_along_axis(top, order, axis=1)
-        ranked_scores = np.take_along_axis(top_scores, order, axis=1)
-        finite = np.isfinite(ranked_scores)
+        ranked_values = np.take_along_axis(top_values, order, axis=1)
+        finite = np.isfinite(ranked_values)
         block = out_items[row0 : row0 + rows]
         block[...] = ranked
         out_lengths[row0 : row0 + rows] = finite.sum(axis=1, dtype=np.int32)
         if not finite.all():
             block[~finite] = -1
         if out_scores is not None:
-            np.negative(ranked_scores, out=ranked_scores)
-            out_scores[row0 : row0 + rows] = ranked_scores
+            out_scores[row0 : row0 + rows] = ranked_values
+
+    def _two_stage(self, neg_scores: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Item indices and values of every row's ``n`` smallest entries.
+
+        Stage one reduces each row to its per-block minima and keeps the
+        ``n`` best blocks (:func:`_smallest`, so ties go to the lower block
+        index); stage two gathers those blocks' ``n × G`` entries — in
+        ascending item order, so candidate position order *is* item order
+        — and selects among them.  The block-minimum and candidate scratch
+        comes from the pool.  Positions past the end of a short last block
+        gather a clipped duplicate, overwritten with ``+inf`` so it can
+        never be selected ahead of a real item.
+        """
+        rows, width = neg_scores.shape
+        full, tail = divmod(width, SELECT_BLOCK)
+        minima = self.pool.take(rows, full + (tail > 0), neg_scores.dtype)
+        np.minimum.reduce(
+            neg_scores[:, : full * SELECT_BLOCK].reshape(rows, full, SELECT_BLOCK),
+            axis=2,
+            out=minima[:, :full],
+        )
+        if tail:
+            np.minimum.reduce(
+                neg_scores[:, full * SELECT_BLOCK :], axis=1, out=minima[:, full]
+            )
+        blocks = _smallest(minima, n)
+        self.pool.release(minima)
+
+        span = n * SELECT_BLOCK
+        items = self.pool.take(rows, span, np.int64)
+        np.add(
+            (blocks * SELECT_BLOCK)[:, :, None],
+            np.arange(SELECT_BLOCK),
+            out=items.reshape(rows, n, SELECT_BLOCK),
+        )
+        flat = self.pool.take(rows, span, np.int64)
+        np.minimum(items, width - 1, out=flat)
+        flat += np.arange(0, rows * width, width)[:, None]
+        candidates = self.pool.take(rows, span, neg_scores.dtype)
+        np.take(neg_scores.reshape(-1), flat, out=candidates, mode="clip")
+        self.pool.release(flat)
+        if tail:
+            short = blocks[:, -1] == full
+            candidates[short, span - SELECT_BLOCK + tail :] = np.inf
+
+        picks = _smallest(candidates, n)
+        top = np.take_along_axis(items, picks, axis=1)
+        top_values = np.take_along_axis(candidates, picks, axis=1)
+        self.pool.release(items)
+        self.pool.release(candidates)
+        return top, top_values
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         path = "factors" if self.factors is not None else type(self.model).__name__
@@ -626,3 +699,42 @@ class TopNEngine:
             f"n_items={self.n_items}, chunk_size={self.chunk_size}, "
             f"dtype={self.serving_dtype.name})"
         )
+
+
+def _smallest(values: np.ndarray, n: int) -> np.ndarray:
+    """Positions of every row's ``n`` smallest entries, ascending, ``n <= width``.
+
+    Exact under the (value, position) order: ``argpartition`` finds the
+    ``n``-th smallest value, and a row holding more entries equal to it
+    than fit is settled explicitly — the entries strictly below it plus
+    the lowest-positioned tied ones — instead of by introselect internals.
+    Rows whose boundary is ``+inf`` (fewer than ``n`` unmasked entries) are
+    left as they are: which masked entries fill them does not matter, they
+    are dropped from the ranking.
+    """
+    top = np.argpartition(values, n - 1, axis=1)[:, :n]
+    top.sort(axis=1)
+    kth = np.take_along_axis(values, top, axis=1).max(axis=1)
+    crowded = np.count_nonzero(values <= kth[:, None], axis=1) > n
+    crowded &= kth < np.inf
+    tied_rows = np.flatnonzero(crowded)
+    if tied_rows.size:
+        sub = values[tied_rows]
+        edge = kth[tied_rows, None]
+        keep = sub < edge
+        ties = sub == edge
+        room = n - np.count_nonzero(keep, axis=1)
+        keep |= ties & (np.cumsum(ties, axis=1) <= room[:, None])
+        top[tied_rows] = np.nonzero(keep)[1].reshape(tied_rows.size, n)
+    return top
+
+
+def _probabilities(neg_affinities: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 - exp(-a)`` from negated affinities ``-a``, into ``out``.
+
+    Computed as ``-(exp(-a) - 1)``: IEEE subtraction is antisymmetric, so
+    this is bitwise ``1 - exp(-a)`` — the per-user scoring formula.
+    """
+    np.exp(neg_affinities, out=out)
+    np.subtract(out, 1.0, out=out)
+    return np.negative(out, out=out)

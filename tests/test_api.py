@@ -112,6 +112,19 @@ class TestRequestCodec:
         with pytest.raises(ConfigurationError, match="nitems"):
             RecommendRequest.from_dict({"users": [1], "nitems": 5})
 
+    def test_bool_and_float_ids_rejected(self):
+        for payload in (
+            {"users": [True]},
+            {"users": [0, 1.5]},
+            {"users": [2.0]},
+            {"interactions": [[1], [True]]},
+            {"interactions": [[1.5]]},
+        ):
+            with pytest.raises(ConfigurationError, match="must be integers"):
+                RecommendRequest.from_dict(payload)
+        request = RecommendRequest.from_dict({"users": [0, 1], "interactions": None})
+        assert request.users == (0, 1)
+
     def test_non_object_frames_rejected(self):
         with pytest.raises(ConfigurationError):
             RecommendRequest.from_dict([1, 2])
@@ -211,27 +224,6 @@ class TestRuntimeDispatcher:
     def test_rejects_non_request(self, runtime):
         with pytest.raises(ConfigurationError, match="RecommendRequest"):
             runtime.recommend([0, 1, 2])
-
-    def test_old_topn_warns_but_works(self, runtime):
-        with pytest.warns(DeprecationWarning, match="topn"):
-            result = runtime.topn([0, 1], n_items=4)
-        expected = runtime.recommend(RecommendRequest(users=(0, 1), n_items=4))
-        assert all(np.array_equal(a, b) for a, b in zip(result.rankings, expected.rankings))
-
-    def test_old_recommend_folded_warns_but_works(self, runtime):
-        with pytest.warns(DeprecationWarning, match="recommend_folded"):
-            rankings = runtime.recommend_folded([[1, 2]], n_items=4)
-        expected = runtime.recommend(
-            RecommendRequest(interactions=((1, 2),), n_items=4)
-        )
-        assert np.array_equal(rankings[0], expected.rankings[0])
-
-    def test_old_session_entrypoints_warn(self, runtime):
-        with runtime.serving_session() as session:
-            with pytest.warns(DeprecationWarning):
-                session.topn([0], n_items=3)
-            with pytest.warns(DeprecationWarning):
-                session.recommend_folded([[1]], n_items=3)
 
     def test_default_tenant_constant(self):
         assert RecommendRequest(users=(1,)).tenant == DEFAULT_TENANT

@@ -6,6 +6,7 @@ per-tenant fairness under a flooding tenant."""
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import warnings
@@ -25,6 +26,7 @@ from repro.runtime import (
     WeightedFairQueue,
 )
 from repro.runtime.adaptive import AdaptiveDelayController
+from repro.runtime.gateway import MAX_FRAME_BYTES
 
 #: Generous wall-clock bound for any blocking wait in this suite: far above
 #: every configured delay, far below the CI job timeout, so a deadlock fails
@@ -202,6 +204,45 @@ class TestFailureModes:
                 error = frame["error"]
                 raise GatewayError(error["code"], error["message"])
         assert excinfo.value.code == "bad-request"
+
+    def test_bool_and_float_ids_are_bad_request(self, client):
+        for payload in (
+            {"users": [True], "n_items": 3},
+            {"users": [1.5], "n_items": 3},
+            {"interactions": [[2, 3.0]], "n_items": 3},
+            {"interactions": [[False]], "n_items": 3},
+        ):
+            frame = client.request(payload)
+            assert frame["ok"] is False
+            assert frame["error"]["code"] == "bad-request"
+
+    def test_out_of_range_ids_are_bad_request(self, corpus, client):
+        for payload in (
+            {"interactions": [[corpus.n_items + 5]], "n_items": 3},
+            {"interactions": [[10**22]], "n_items": 3},
+            {"users": [corpus.n_users + 5], "n_items": 3},
+            {"users": [10**22], "n_items": 3},
+        ):
+            frame = client.request(payload)
+            assert frame["ok"] is False
+            assert frame["error"]["code"] == "bad-request"
+        response = client.recommend(RecommendRequest(users=(1,), n_items=3))
+        assert len(response.rankings) == 1
+
+    def test_oversized_frame_answers_and_resyncs(self, runtime, corpus, client):
+        users = [user % corpus.n_users for user in range(24_000)]
+        big = json.dumps({"id": "big", "users": users, "n_items": 3}).encode()
+        assert 96_000 < len(big) < 100_000 and len(big) > MAX_FRAME_BYTES
+        after = json.dumps({"id": "after", "users": [4, 9], "n_items": 3}).encode()
+        client._file.write(big + b"\n" + after + b"\n")
+        client._file.flush()
+        first = client.recv_frame()
+        assert first["ok"] is False and first["id"] is None
+        assert first["error"]["code"] == "frame-too-large"
+        second = client.recv_frame()
+        assert second["ok"] is True and second["id"] == "after"
+        expected = runtime.engine.recommend_batch([4, 9], n_items=3)
+        assert all(np.array_equal(a, b) for a, b in zip(second["rankings"], expected))
 
     def test_unknown_op(self, client):
         frame = client.request({"op": "explode"})
