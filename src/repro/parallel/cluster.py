@@ -57,15 +57,31 @@ store     ``("get", keys)`` (agent -> driver)      ``{key: array}``
 ``n`` more tasks, then exits hard *before* replying to the next one —
 exactly the mid-call crash the re-dispatch tests need, without racing a
 signal against task boundaries.
+
+A malformed frame on the task or ctrl channel — one that does not
+unpickle, is not a tuple, names an unknown op or carries bad arguments —
+is answered with an ``("error", ...)`` frame and the channel stays open;
+a bad hello closes only its own channel.
+
+Every channel is opened by :func:`_connect` or :func:`_accept`, which set
+``TCP_NODELAY`` on the socket.  The stdlib ``Connection`` writes a frame
+over 16 KiB in two ``send()`` calls (4-byte length header, then payload);
+with Nagle's algorithm on, the payload's last sub-MSS segment waits for
+the header's ACK, which the receiver delays by ~40 ms on Linux.  Every
+shard reply (a 256-user top-50 result is ~51 KB), every object-store
+fetch and every training-sweep reply would pay that stall.  Frames here
+are request/response, so holding them back to coalesce never helps.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import pickle
 import queue
+import socket
 import sys
 import threading
 import time
@@ -94,6 +110,67 @@ TASK_DELAY_ENV = "REPRO_CLUSTER_TASK_DELAY_MS"
 EXIT_INJECTED_DEATH = 17
 
 _AGENT_START_TIMEOUT = 30.0
+
+#: Seconds ``shutdown()`` gives spawned agents, all together, to exit on
+#: request before the stragglers are killed.
+_AGENT_EXIT_TIMEOUT = 5.0
+
+
+# --------------------------------------------------------------------------- #
+# Channels
+# --------------------------------------------------------------------------- #
+def _no_delay(connection: Connection) -> Connection:
+    """Disable Nagle's algorithm on a TCP channel (see the module docstring)."""
+    with socket.socket(fileno=os.dup(connection.fileno())) as sock:
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return connection
+
+
+def _connect(address: Tuple[str, int], authkey: bytes) -> Connection:
+    """Open an authenticated channel to ``address``."""
+    return _no_delay(Client(address, authkey=authkey))
+
+
+def _accept(listener: Listener) -> Connection:
+    """Accept and authenticate the next channel on ``listener``."""
+    return _no_delay(listener.accept())
+
+
+def _wake(address: Tuple[str, int], authkey: bytes) -> None:
+    """Unblock a thread parked in ``accept()`` on ``address`` with a self-connect.
+
+    Closing a listener from another thread does not interrupt a blocked
+    ``accept()`` on Linux, so an accept loop is stopped by setting its flag
+    and then handing it one last connection.
+    """
+    try:
+        _connect(address, authkey).close()
+    except (OSError, EOFError, AuthenticationError):
+        pass  # the loop already exited and closed the listener
+
+
+def _accept_loop(
+    listener: Listener,
+    stop: threading.Event,
+    serve: Callable[[Connection], None],
+    name: str,
+) -> None:
+    """Serve each accepted channel on its own thread until ``stop`` is set.
+
+    Whoever sets ``stop`` then calls :func:`_wake`; the loop closes the
+    listener on its way out.
+    """
+    while not stop.is_set():
+        try:
+            connection = _accept(listener)
+        except (AuthenticationError, EOFError, OSError):
+            continue  # a peer that fails the handshake costs only itself
+        if stop.is_set():
+            connection.close()
+            break
+        threading.Thread(target=serve, args=(connection,), daemon=True, name=name).start()
+    listener.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -165,7 +242,7 @@ class _NodeRuntime:
             cached = self._objects.get(ref.key)
         if cached is not None:
             return cached
-        connection = Client(self.store_address, authkey=self.authkey)
+        connection = _connect(self.store_address, self.authkey)
         try:
             connection.send(("get", [ref.key]))
             payload = connection.recv()
@@ -252,13 +329,27 @@ def _pickle_or_none(error: BaseException) -> Optional[bytes]:
         return None
 
 
+def _error_frame(error: BaseException) -> Tuple:
+    """The typed ``("error", pickled, repr, traceback)`` reply to a request."""
+    return ("error", _pickle_or_none(error), repr(error), traceback.format_exc())
+
+
 def _serve_tasks(connection: Connection, runtime: _NodeRuntime) -> None:
     """Execute tasks from one driver connection, one at a time, forever."""
     while True:
-        message = connection.recv()
-        if not (isinstance(message, tuple) and message and message[0] == "task"):
+        try:
+            message = connection.recv()
+            op, function, args = message
+            if op != "task":
+                raise ValueError(f"malformed task frame {message!r:.80}")
+        except (EOFError, OSError):
+            raise
+        except Exception as error:
+            # recv() consumed the whole frame before unpickling it, so the
+            # channel is intact: a task the node cannot even load (say, a
+            # function from a module it cannot import) is a task error.
+            connection.send(_error_frame(error))
             continue
-        _op, function, args = message
         delay = os.environ.get(TASK_DELAY_ENV)
         if delay:
             try:
@@ -273,9 +364,7 @@ def _serve_tasks(connection: Connection, runtime: _NodeRuntime) -> None:
         try:
             result = function(*args)
         except BaseException as error:
-            connection.send(
-                ("error", _pickle_or_none(error), repr(error), traceback.format_exc())
-            )
+            connection.send(_error_frame(error))
         else:
             try:
                 connection.send(("ok", result))
@@ -290,62 +379,62 @@ def _serve_tasks(connection: Connection, runtime: _NodeRuntime) -> None:
 
 
 def _serve_ctrl(
-    connection: Connection,
-    runtime: _NodeRuntime,
-    stop: threading.Event,
-    listener: Listener,
+    connection: Connection, runtime: _NodeRuntime, request_stop: Callable[[], None]
 ) -> None:
     """Answer control requests (evict/ping/stats/fault-injection/shutdown)."""
     while True:
-        message = connection.recv()
-        op = message[0]
-        if op == "ping":
-            connection.send(("ok", "pong"))
-        elif op == "stats":
-            connection.send(("ok", runtime.stats()))
-        elif op == "evict":
-            runtime.evict(message[1])
-            connection.send(("ok", None))
-        elif op == "die_after":
-            runtime.set_die_after(message[1])
-            connection.send(("ok", None))
-        elif op == "shutdown":
-            connection.send(("ok", None))
-            stop.set()
-            try:
-                listener.close()
-            except Exception:
-                pass
+        try:
+            message = connection.recv()
+            if not (isinstance(message, tuple) and message):
+                raise ValueError(f"malformed ctrl frame {message!r:.80}")
+            op, *args = message
+            reply = None
+            if op == "ping":
+                reply = "pong"
+            elif op == "stats":
+                reply = runtime.stats()
+            elif op == "evict":
+                (keys,) = args
+                runtime.evict(keys)
+            elif op == "die_after":
+                (n_tasks,) = args
+                runtime.set_die_after(n_tasks)
+            elif op != "shutdown":
+                raise ValueError(f"unknown ctrl op {op!r:.80}")
+        except (EOFError, OSError):
+            raise
+        except Exception as error:
+            connection.send(_error_frame(error))
+            continue
+        connection.send(("ok", reply))
+        if op == "shutdown":
+            request_stop()
             return
-        else:
-            connection.send(("error", None, f"unknown ctrl op {op!r}", ""))
 
 
 def _serve_channel(
-    connection: Connection,
-    authkey: bytes,
-    stop: threading.Event,
-    listener: Listener,
+    connection: Connection, authkey: bytes, request_stop: Callable[[], None]
 ) -> None:
     global _NODE_RUNTIME
     try:
         hello = connection.recv()
+        tag, kind, _node_id, store_address = hello
+        if tag != "hello" or kind not in ("task", "ctrl"):
+            raise ValueError(f"bad hello {hello!r:.80}")
+        store_address = _parse_address(store_address)
     except Exception:
+        # Not a channel this agent speaks: drop it, keep serving the others.
         connection.close()
         return
-    if not (isinstance(hello, tuple) and len(hello) == 4 and hello[0] == "hello"):
-        connection.close()
-        return
-    _tag, kind, _node_id, store_address = hello
     with _RUNTIME_LOCK:
-        if _NODE_RUNTIME is None or _NODE_RUNTIME.store_address != tuple(store_address):
+        if _NODE_RUNTIME is None or _NODE_RUNTIME.store_address != store_address:
             _NODE_RUNTIME = _NodeRuntime(store_address, authkey)
         runtime = _NODE_RUNTIME
     try:
         if kind == "task":
             _serve_tasks(connection, runtime)
         else:
-            _serve_ctrl(connection, runtime, stop, listener)
+            _serve_ctrl(connection, runtime, request_stop)
     except (EOFError, OSError):
         # The driver went away; a standalone agent stays up for the next one.
         pass
@@ -357,25 +446,20 @@ def _serve_channel(
 
 
 def _serve_agent(listener: Listener, authkey: bytes) -> None:
-    """Accept loop of one agent: a thread per channel, until shutdown."""
+    """Accept loop of one agent: a thread per channel, until a ctrl shutdown."""
+    address = listener.address
     stop = threading.Event()
-    while not stop.is_set():
-        try:
-            connection = listener.accept()
-        except AuthenticationError:
-            continue
-        except (OSError, EOFError):
-            break
-        threading.Thread(
-            target=_serve_channel,
-            args=(connection, authkey, stop, listener),
-            daemon=True,
-            name="repro-cluster-channel",
-        ).start()
-    try:
-        listener.close()
-    except Exception:
-        pass
+
+    def request_stop() -> None:
+        stop.set()
+        _wake(address, authkey)
+
+    _accept_loop(
+        listener,
+        stop,
+        functools.partial(_serve_channel, authkey=authkey, request_stop=request_stop),
+        "repro-cluster-channel",
+    )
 
 
 def _agent_main(
@@ -404,30 +488,17 @@ class _StoreServer:
 
     def __init__(self, host: str, authkey: bytes) -> None:
         self._listener = Listener((host, 0), authkey=authkey)
+        self._authkey = authkey
+        self.address: Tuple[str, int] = tuple(self._listener.address)
         self._objects: Dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
+        self._closed = threading.Event()
         threading.Thread(
-            target=self._accept_loop, daemon=True, name="repro-cluster-store"
+            target=_accept_loop,
+            args=(self._listener, self._closed, self._serve_client, "repro-cluster-store-client"),
+            daemon=True,
+            name="repro-cluster-store",
         ).start()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return tuple(self._listener.address)
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                connection = self._listener.accept()
-            except AuthenticationError:
-                continue
-            except (OSError, EOFError):
-                return
-            threading.Thread(
-                target=self._serve_client,
-                args=(connection,),
-                daemon=True,
-                name="repro-cluster-store-client",
-            ).start()
 
     def _serve_client(self, connection: Connection) -> None:
         try:
@@ -455,10 +526,8 @@ class _StoreServer:
             self._objects.pop(key, None)
 
     def close(self) -> None:
-        try:
-            self._listener.close()
-        except Exception:
-            pass
+        self._closed.set()
+        _wake(self.address, self._authkey)
         with self._lock:
             self._objects.clear()
 
@@ -709,9 +778,9 @@ class ClusterExecutor:
     def _connect_node(
         self, node_id: int, address: Tuple[str, int], process: Any
     ) -> _NodeHandle:
-        task_conn = Client(address, authkey=self._authkey)
+        task_conn = _connect(address, self._authkey)
         task_conn.send(("hello", "task", node_id, self._store.address))
-        ctrl_conn = Client(address, authkey=self._authkey)
+        ctrl_conn = _connect(address, self._authkey)
         ctrl_conn.send(("hello", "ctrl", node_id, self._store.address))
         return _NodeHandle(
             node_id=node_id,
@@ -1094,9 +1163,11 @@ class ClusterExecutor:
 
         Idempotent.  New submissions are rejected immediately; queued and
         in-flight tasks finish first (like the pools' drain-on-shutdown),
-        then spawned agents are asked to exit (and reaped if they will not),
-        connections and the store are closed, and the publication table is
-        dropped.
+        then spawned agents are asked to exit and joined together (killed
+        only if they have not exited within :data:`_AGENT_EXIT_TIMEOUT`
+        seconds), connections and the store are closed, and the publication
+        table is dropped.  External agents only lose their channels and
+        stay up for the next driver.
         """
         with self._lifecycle_lock:
             if self._shut_down:
@@ -1106,7 +1177,7 @@ class ClusterExecutor:
         for runner in self._runners:
             runner.join()
         for node in self._nodes:
-            if node.alive:
+            if node.alive and node.process is not None:
                 try:
                     self._ctrl_request(node, ("shutdown",), timeout=5.0)
                 except Exception:
@@ -1117,12 +1188,14 @@ class ClusterExecutor:
                     connection.close()
                 except Exception:
                     pass
-        for node in self._nodes:
-            if node.process is not None:
-                node.process.join(timeout=5.0)
-                if node.process.is_alive():
-                    node.process.kill()
-                    node.process.join(timeout=5.0)
+        processes = [node.process for node in self._nodes if node.process is not None]
+        deadline = time.monotonic() + _AGENT_EXIT_TIMEOUT
+        for process in processes:
+            process.join(timeout=max(0.0, deadline - time.monotonic()))
+        for process in processes:
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=5.0)
         self._store.close()
         with self._objects_lock:
             self._objects.clear()
@@ -1153,6 +1226,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         ClusterExecutor(addresses=["node1:9410", "node2:9410"],
                         authkey=bytes.fromhex("<hex>"),
                         store_host="<driver-ip>")
+
+    The agent serves one driver after another (a driver's ``shutdown()``
+    only closes its channels) until a ctrl ``("shutdown",)`` frame stops
+    it; it then returns 0.
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.parallel.cluster",

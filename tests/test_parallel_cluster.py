@@ -12,9 +12,16 @@ gone).
 
 from __future__ import annotations
 
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
-from multiprocessing import get_context
+import types
+from multiprocessing import AuthenticationError, get_context
+from multiprocessing.connection import Listener
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +36,7 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.parallel import ClusterExecutor
-from repro.parallel.cluster import TASK_DELAY_ENV, _agent_main
+from repro.parallel.cluster import TASK_DELAY_ENV, _accept, _agent_main, _connect
 from repro.runtime import RecommenderRuntime
 from repro.serving.batch import serve_sharded
 from repro.serving.engine import TopNEngine
@@ -57,6 +64,29 @@ def sleep_forever() -> None:  # pragma: no cover - killed by the timeout path
 def fetch_sum(ref) -> float:
     """Attach a published ref inside the agent and reduce it."""
     return float(ref.attach().sum())
+
+
+def zero_bytes(n_bytes: int) -> bytes:
+    return bytes(n_bytes)
+
+
+def nodelay(connection) -> int:
+    """The TCP_NODELAY flag of a connection's socket."""
+    with socket.socket(fileno=os.dup(connection.fileno())) as sock:
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def open_channel(executor, kind: str):
+    """A raw authenticated channel to node 0, past the hello."""
+    connection = _connect(executor._nodes[0].address, executor._authkey)
+    connection.send(("hello", kind, 99, executor._store.address))
+    return connection
+
+
+def request(connection, message):
+    connection.send(message)
+    assert connection.poll(10), f"no reply to {message!r}"
+    return connection.recv()
 
 
 @pytest.fixture(scope="module")
@@ -111,11 +141,114 @@ class TestClusterBasics:
         assert executor.unpublish("slot") is False
 
     def test_agent_processes_are_reaped_on_shutdown(self):
+        # Agents exit on request (exit code 0), not by SIGKILL after a
+        # join timeout, and they are joined together.
         executor = ClusterExecutor(n_nodes=2, task_timeout=60)
         processes = [node.process for node in executor._nodes]
         assert all(process.is_alive() for process in processes)
+        start = time.monotonic()
         executor.shutdown()
-        assert all(not process.is_alive() for process in processes)
+        assert time.monotonic() - start < 2.0
+        assert [process.exitcode for process in processes] == [0, 0]
+
+
+class TestTransport:
+    def test_driver_channels_disable_nagle(self):
+        with ClusterExecutor(n_nodes=2, task_timeout=60) as executor:
+            for node in executor._nodes:
+                assert nodelay(node.task_conn) and nodelay(node.ctrl_conn)
+
+    def test_channel_helpers_disable_nagle_on_both_ends(self):
+        authkey = b"repro-test-authkey"
+        listener = Listener(("127.0.0.1", 0), authkey=authkey)
+        accepted = []
+        acceptor = threading.Thread(target=lambda: accepted.append(_accept(listener)))
+        acceptor.start()
+        client = _connect(listener.address, authkey)
+        acceptor.join(timeout=10)
+        try:
+            assert nodelay(client) and nodelay(accepted[0])
+        finally:
+            client.close()
+            for connection in accepted:
+                connection.close()
+            listener.close()
+
+    def test_large_reply_round_trip_has_no_delayed_ack_stall(self):
+        # A frame over 16 KiB leaves in two send() calls; under Nagle's
+        # algorithm a payload below one loopback MSS then waits for the
+        # receiver's delayed ACK (~40 ms) on a large share of calls.
+        with ClusterExecutor(n_nodes=2, task_timeout=60) as executor:
+            executor.map(zero_bytes, [32 * 1024])
+            times = []
+            for _ in range(20):
+                begin = time.perf_counter()
+                assert len(executor.map(zero_bytes, [32 * 1024])[0]) == 32 * 1024
+                times.append((time.perf_counter() - begin) * 1000.0)
+        times.sort()
+        assert times[17] < 20.0, times  # 90th percentile of 20 calls
+
+
+class TestChannelHardening:
+    def test_bad_handshake_or_hello_closes_only_that_channel(self):
+        with ClusterExecutor(n_nodes=1, task_timeout=60) as executor:
+            address = executor._nodes[0].address
+            with pytest.raises(AuthenticationError):
+                _connect(address, b"wrong-key")
+            for raw in (b"", b"\xff" * 8):  # hang-up, garbage length header
+                with socket.create_connection(address) as sock:
+                    sock.sendall(raw)
+            store = executor._store.address
+            for hello in (b"garbage", ("hello",), ("hello", "gossip", 0, store),
+                          ("hello", "ctrl", 0, "no-port")):
+                connection = _connect(address, executor._authkey)
+                connection.send(hello)
+                assert connection.poll(10)
+                with pytest.raises(EOFError):
+                    connection.recv()
+                connection.close()
+            assert executor.map(slow_square, [5]) == [25]
+            assert list(executor.node_stats()) == [0]
+
+    def test_malformed_ctrl_frames_get_typed_errors(self):
+        with ClusterExecutor(n_nodes=1, task_timeout=60) as executor:
+            connection = open_channel(executor, "ctrl")
+            try:
+                reply = request(connection, ("frobnicate",))
+                assert reply[0] == "error" and "unknown ctrl op" in reply[2]
+                for frame in ("not-a-tuple", (), (42,), ("evict",), ("evict", 5),
+                              ("die_after", "soon")):
+                    reply = request(connection, frame)
+                    assert reply[0] == "error" and len(reply) == 4, (frame, reply)
+                connection.send_bytes(b"\x80\x05not a pickle")
+                assert connection.poll(10) and connection.recv()[0] == "error"
+                assert request(connection, ("ping",)) == ("ok", "pong")
+            finally:
+                connection.close()
+            assert executor.map(slow_square, [3]) == [9]
+
+    def test_malformed_task_frames_get_typed_errors(self, monkeypatch):
+        # A function the node cannot import fails as itself on the driver
+        # instead of killing the channel (which would read as node death).
+        module = types.ModuleType("repro_driver_only")
+
+        def driver_only(value):  # pragma: no cover - never runs on a node
+            return value
+
+        driver_only.__module__, driver_only.__qualname__ = module.__name__, "f"
+        module.f = driver_only
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        with ClusterExecutor(n_nodes=2, task_timeout=60) as executor:
+            with pytest.raises(ModuleNotFoundError):
+                executor.map(driver_only, [1])
+            assert len(executor._live_nodes()) == 2
+            connection = open_channel(executor, "task")
+            try:
+                assert request(connection, ("task",))[0] == "error"
+                assert request(connection, ("task", slow_square, (3,))) == ("ok", 9)
+            finally:
+                connection.close()
+            assert executor.map(slow_square, [4]) == [16]
 
 
 class TestServingParity:
@@ -316,6 +449,38 @@ class TestExternalAgents:
         finally:
             agent.terminate()
             agent.join(timeout=10)
+
+    def test_cli_agent_outlives_drivers_and_exits_on_shutdown(self):
+        # A standalone agent serves one driver after another (a driver's
+        # shutdown closes only its channels); a ctrl shutdown stops it
+        # promptly with exit code 0.
+        authkey = os.urandom(16)
+        source = str(Path(sys.modules["repro"].__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        agent = subprocess.Popen(
+            [sys.executable, "-m", "repro.parallel.cluster", "--authkey", authkey.hex()],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+        )
+        try:
+            host, _, port = agent.stdout.readline().split()[-1].rpartition(":")
+            address = (host, int(port))
+            for value in (6, 7):
+                with ClusterExecutor(
+                    addresses=[address], authkey=authkey, task_timeout=60
+                ) as executor:
+                    # A builtin: the agent process cannot import this test module.
+                    assert executor.starmap(pow, [(value, 2)]) == [value * value]
+            assert agent.poll() is None
+            connection = _connect(address, authkey)
+            connection.send(("hello", "ctrl", 0, ("127.0.0.1", 1)))
+            assert request(connection, ("shutdown",)) == ("ok", None)
+            connection.close()
+            assert agent.wait(timeout=10) == 0
+        finally:
+            if agent.poll() is None:
+                agent.kill()
+                agent.wait()
 
     def test_external_addresses_require_authkey(self):
         with pytest.raises(ConfigurationError, match="authkey"):
